@@ -21,16 +21,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core.advisor import Organization
-from .core.errors import SimulationTimeout
-from .flow import (
-    DEFAULT_KERNEL,
-    SIMULATION_KERNELS,
-    build_simulation,
-    compile_design,
+from .cli import (
+    DEFAULTS,
+    compile_source,
+    design_options,
+    run_cli,
+    source_options,
+    telemetry_options,
+    write_telemetry,
 )
-from .hic.errors import HicError
-from .obs.tracer import TRACE_LEVELS
+from .config import SHARD_POLICIES
+from .flow import build_simulation
 from .sim import ConsumerLatencyProbe, VcdWriter, determinism_report
 
 
@@ -41,18 +42,12 @@ def _parser() -> argparse.ArgumentParser:
             "Compile a hic design to synchronized FPGA implementation "
             "estimates (reproduction of Kulkarni & Brebner, DATE 2006)."
         ),
-    )
-    parser.add_argument("source", help="hic source file")
-    parser.add_argument(
-        "--organization",
-        choices=[org.value for org in Organization],
-        default=Organization.ARBITRATED.value,
-        help="memory organization to generate (default: arbitrated)",
+        parents=[source_options(), design_options(), telemetry_options()],
     )
     parser.add_argument(
         "--deplist-entries",
         type=int,
-        default=4,
+        default=DEFAULTS.deplist_entries,
         help="dependency-list capacity of the arbitrated wrapper",
     )
     parser.add_argument(
@@ -60,7 +55,10 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         metavar="CYCLES",
         default=0,
-        help="run the cycle-accurate simulator for CYCLES cycles",
+        help=(
+            "run the cycle-accurate simulator for CYCLES cycles (a "
+            "telemetry export without it runs 1000)"
+        ),
     )
     parser.add_argument(
         "--verilog",
@@ -78,118 +76,24 @@ def _parser() -> argparse.ArgumentParser:
         help="write a VCD trace of the simulation to FILE",
     )
     parser.add_argument(
-        "--trace-json",
-        metavar="FILE",
-        help=(
-            "write a Chrome trace-event JSON (Perfetto-loadable) of the "
-            "simulation to FILE (implies --simulate 1000 if not given)"
-        ),
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="FILE",
-        help="write Prometheus text-format metrics of the simulation to FILE",
-    )
-    parser.add_argument(
-        "--summary-json",
-        metavar="FILE",
-        help="write a JSON telemetry summary of the simulation to FILE",
-    )
-    parser.add_argument(
         "--summary-csv",
         metavar="FILE",
         help="write a CSV metrics dump of the simulation to FILE",
     )
     parser.add_argument(
-        "--kernel",
-        # Derived from the flow's registry so argparse fails fast with
-        # the real list if a backend is ever added or renamed.
-        choices=list(SIMULATION_KERNELS),
-        default=DEFAULT_KERNEL,
-        help=(
-            f"simulation backend (default: {DEFAULT_KERNEL}): 'wheel' "
-            "skips provably idle cycles, 'compiled' runs a generated "
-            "per-design tick function; both are cycle-equivalent to "
-            "'reference', which ticks every component every cycle "
-            "(see docs/simulation_kernels.md)"
-        ),
-    )
-    parser.add_argument(
-        "--trace-level",
-        # The tracer's TRACE_LEVELS is the single source of truth: an
-        # unknown level dies in argparse with the valid choices listed,
-        # not deep in run setup.
-        choices=list(TRACE_LEVELS),
-        default="deps",
-        help=(
-            "event granularity: 'deps' records dependency-lifecycle events "
-            "only; 'full' also records every submit/grant (default: deps)"
-        ),
-    )
-    parser.add_argument(
-        "--traffic-rate",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help=(
-            "drive each ingress interface with seeded Bernoulli traffic "
-            "(probability P of a new message per cycle) during --simulate"
-        ),
-    )
-    parser.add_argument(
-        "--traffic-seed",
-        type=int,
-        default=1,
-        help="seed for --traffic-rate generators (default: 1)",
-    )
-    parser.add_argument(
-        "--banks",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "compile for a sharded N-bank memory fabric (0 = the paper's "
-            "single-address-space flow)"
-        ),
-    )
-    parser.add_argument(
         "--shard-policy",
-        choices=["interleaved", "range"],
-        default="interleaved",
-        help="fabric address sharding policy (default: interleaved)",
-    )
-    parser.add_argument(
-        "--link-latency",
-        type=int,
-        default=1,
-        metavar="CYCLES",
-        help="crossbar link latency between ingress and a bank (default: 1)",
+        choices=list(SHARD_POLICIES),
+        default=DEFAULTS.shard_policy,
+        help=f"fabric address sharding policy (default: {DEFAULTS.shard_policy})",
     )
     parser.add_argument(
         "--batch-size",
         type=int,
-        default=1,
+        default=DEFAULTS.batch_size,
         metavar="N",
-        help="requests a bank accepts from the crossbar per cycle (default: 1)",
-    )
-    parser.add_argument(
-        "--dep-home",
-        choices=["address", "spread"],
-        default="address",
         help=(
-            "fabric dependency-entry homing: 'address' co-locates guards "
-            "with their data; 'spread' distributes them across banks "
-            "(exercising the cross-bank router)"
-        ),
-    )
-    parser.add_argument(
-        "--max-wall-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "wall-clock budget for --simulate: a livelocked run raises a "
-            "structured simulation-timeout error instead of hanging"
+            "requests a bank accepts from the crossbar per cycle "
+            f"(default: {DEFAULTS.batch_size})"
         ),
     )
     parser.add_argument(
@@ -247,33 +151,20 @@ def main(argv: list[str] | None = None) -> int:
         from .scenarios.cli import scenarios_main
 
         return scenarios_main(argv[1:])
-    args = _parser().parse_args(argv)
-    try:
-        with open(args.source) as handle:
-            source = handle.read()
-    except OSError as error:
-        print(f"error: cannot read {args.source}: {error}", file=sys.stderr)
-        return 2
+    return run_cli(_parser(), argv, _run)
 
-    try:
-        design = compile_design(
-            source,
-            name=args.source.rsplit("/", 1)[-1].split(".")[0],
-            organization=Organization(args.organization),
-            deplist_entries=args.deplist_entries,
-            check_deadlock=not args.no_deadlock_check,
-            infer_pragmas=args.infer_pragmas,
-            allow_offchip=args.allow_offchip,
-            optimize=args.optimize,
-            num_banks=args.banks,
-            shard_policy=args.shard_policy,
-            link_latency=args.link_latency,
-            batch_size=args.batch_size,
-            dep_home=args.dep_home,
-        )
-    except (HicError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+
+def _run(args: argparse.Namespace) -> int:
+    design = compile_source(
+        args,
+        deplist_entries=args.deplist_entries,
+        check_deadlock=not args.no_deadlock_check,
+        infer_pragmas=args.infer_pragmas,
+        allow_offchip=args.allow_offchip,
+        optimize=args.optimize,
+        shard_policy=args.shard_policy,
+        batch_size=args.batch_size,
+    )
 
     print(f"design {design.name!r}: {len(design.fsms)} threads, "
           f"{design.memory_map.bram_count()} BRAM(s), "
@@ -330,13 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         if any(telemetry_outputs):
             telemetry = sim.attach_telemetry(trace_level=args.trace_level)
         if args.traffic_rate > 0:
-            from .net import BernoulliTraffic
-
-            for index, rx in enumerate(sim.rx.values()):
-                generator = BernoulliTraffic(
-                    rate=args.traffic_rate, seed=args.traffic_seed + index
-                )
-                sim.kernel.add_pre_cycle_hook(generator.attach(rx))
+            sim.attach_traffic(args.traffic_rate, args.traffic_seed)
         vcd = None
         if args.vcd:
             vcd = VcdWriter(timescale="8 ns")
@@ -348,13 +233,7 @@ def main(argv: list[str] | None = None) -> int:
                     lambda ex=executor, st=states: st.index(ex.state_name),
                 )
             sim.kernel.add_post_cycle_hook(vcd.hook)
-        try:
-            result = sim.run(
-                args.simulate, max_wall_seconds=args.max_wall_seconds
-            )
-        except SimulationTimeout as error:
-            print(f"error: {error.describe()}", file=sys.stderr)
-            return 1
+        result = sim.run(args.simulate, max_wall_seconds=args.max_wall_seconds)
         print(result.describe())
         if hasattr(sim.kernel, "cycles_compiled"):
             print(
@@ -392,25 +271,7 @@ def main(argv: list[str] | None = None) -> int:
             vcd.write(args.vcd)
             print(f"wrote VCD trace to {args.vcd}")
         if telemetry is not None:
-            from .obs.exporters import (
-                write_chrome_trace,
-                write_prometheus,
-                write_summary_csv,
-                write_summary_json,
-            )
-
-            if args.trace_json:
-                write_chrome_trace(telemetry, args.trace_json)
-                print(f"wrote Chrome trace to {args.trace_json}")
-            if args.metrics:
-                write_prometheus(telemetry, args.metrics)
-                print(f"wrote Prometheus metrics to {args.metrics}")
-            if args.summary_json:
-                write_summary_json(telemetry, args.summary_json)
-                print(f"wrote telemetry summary to {args.summary_json}")
-            if args.summary_csv:
-                write_summary_csv(telemetry, args.summary_csv)
-                print(f"wrote metrics CSV to {args.summary_csv}")
+            write_telemetry(telemetry, args)
 
     return 0
 

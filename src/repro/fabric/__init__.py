@@ -8,10 +8,9 @@ guards that still honour the §3.1 protocol even when a guard entry and its
 guarded data land on different banks.
 """
 
+from ..config import DEP_HOME_POLICIES
 from .crossbar import Crossbar, CrossbarStats
 from .fabric import (
-    DEP_HOME_POLICIES,
-    FabricConfig,
     FabricMemoryView,
     FabricPlan,
     MemoryFabric,
@@ -32,7 +31,6 @@ __all__ = [
     "CrossbarStats",
     "DEP_HOME_POLICIES",
     "DependencyRouter",
-    "FabricConfig",
     "FabricMemoryView",
     "FabricPlan",
     "InterleavedSharding",

@@ -29,6 +29,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from ..config import FlowConfig
 from ..core.advisor import Organization
 from ..core.arbitrated import ArbitratedController
 from ..core.controller import MemRequest, MemResult, MemoryController
@@ -42,34 +43,6 @@ from ..memory.deplist import DependencyEntry, DependencyList
 from .crossbar import Crossbar
 from .router import DependencyRouter, RoutedDependency
 from .sharding import ShardingPolicy, make_policy
-
-#: Dependency home-bank policies (where the guard entry lives).
-DEP_HOME_POLICIES = ("address", "spread")
-
-
-@dataclass(frozen=True)
-class FabricConfig:
-    """Build-time parameters of one fabric."""
-
-    num_banks: int = 1
-    shard_policy: str = "interleaved"
-    link_latency: int = 1
-    batch_size: int = 1
-    #: "address" homes each guard entry with its guarded data (all-native);
-    #: "spread" homes entries away from their data bank (rotating by
-    #: dependency index), creating cross-bank dependencies handled by
-    #: the router
-    dep_home: str = "address"
-
-    def __post_init__(self) -> None:
-        if self.num_banks <= 0:
-            raise ValueError("a fabric needs at least one bank")
-        if self.dep_home not in DEP_HOME_POLICIES:
-            raise ValueError(
-                f"unknown dep_home policy {self.dep_home!r} "
-                f"(expected one of {DEP_HOME_POLICIES})"
-            )
-
 
 class FabricMemoryView:
     """BlockRam-compatible view of the fabric's logical address space.
@@ -122,7 +95,9 @@ class FabricMemoryView:
 class FabricPlan:
     """Design-time fabric artifact carried on a compiled design."""
 
-    config: FabricConfig
+    #: the flow options the fabric was compiled with (``num_banks``,
+    #: ``shard_policy``, ``link_latency``, ``batch_size``, ``dep_home``)
+    config: FlowConfig
     policy: ShardingPolicy
     bank_names: list[str]
     #: dependencies enforced natively by each bank's own organization
@@ -140,7 +115,7 @@ class FabricPlan:
 
 
 def plan_fabric(
-    checked: CheckedProgram, memory_map: MemoryMap, config: FabricConfig
+    checked: CheckedProgram, memory_map: MemoryMap, config: FlowConfig
 ) -> FabricPlan:
     """Split a program's dependencies across the fabric's banks.
 
@@ -252,7 +227,7 @@ class MemoryFabric(MemoryController):
         policy: ShardingPolicy,
         router: DependencyRouter,
         crossbar: Crossbar,
-        config: FabricConfig,
+        config: FlowConfig,
     ):
         view = FabricMemoryView(
             policy, {name: bank.bram for name, bank in banks.items()}

@@ -33,12 +33,13 @@ from .analysis.channels import (
 from .analysis.deadlock import assert_deadlock_free
 from .analysis.depgraph import DependencyGraph
 from .analysis.memgraph import build_memory_graphs
+from .config import FlowConfig, check_probability
 from .core.advisor import Organization
 from .core.arbitrated import ArbitratedController
 from .core.controller import MemoryController
 from .core.event_driven import EventDrivenController
 from .core.lock_baseline import LockBaselineController
-from .fabric import FabricConfig, FabricPlan, build_fabric, plan_fabric
+from .fabric import FabricPlan, build_fabric, plan_fabric
 from .fpga.area import (
     AreaReport,
     FabricAreaReport,
@@ -67,7 +68,6 @@ from .memory.deplist import DependencyList
 from .memory.fifo import DEFAULT_FIFO_DEPTH, FifoChannelController
 from .memory.offchip import OffchipController, OffchipMemory
 from .rtl.generate import (
-    DEFAULT_DEPLIST_ENTRIES,
     WrapperParams,
     generate_arbitrated_wrapper,
     generate_crossbar,
@@ -194,63 +194,24 @@ def _wrapper_params(
 
 
 def compile_design(
-    source: str,
-    name: str = "design",
-    organization: Organization = Organization.ARBITRATED,
-    force_single_bram: bool = False,
-    deplist_entries: int = DEFAULT_DEPLIST_ENTRIES,
-    check_deadlock: bool = True,
-    infer_pragmas: bool = False,
-    allow_offchip: bool = False,
-    optimize: bool = False,
-    num_banks: int = 0,
-    shard_policy: str = "interleaved",
-    link_latency: int = 1,
-    batch_size: int = 1,
-    dep_home: str = "address",
-    channel_synthesis: str = "guarded",
+    source: str, name: str = "design", **options
 ) -> CompiledDesign:
     """Run the full front-end + synthesis + generation flow.
 
-    ``infer_pragmas=True`` derives producer/consumer dependencies from
-    use-def analysis instead of requiring explicit pragmas (paper §2).
-    ``allow_offchip=True`` lets private data too large for one BRAM spill
-    to the modelled external SRAM tier.  ``optimize=True`` runs the FSM
-    optimization passes (dead-state elimination, pass-through collapsing,
-    compute-state packing) on every thread before binding.
-
-    ``num_banks > 0`` switches to the sharded fabric flow: allocation
-    targets one logical address space over that many banks (sliced by
-    ``shard_policy``), a crossbar netlist joins the per-bank wrappers, and
-    simulation runs through a :class:`repro.fabric.MemoryFabric`.
-    ``dep_home="spread"`` distributes dependency entries round-robin over
-    banks, exercising the cross-bank dependency router.
-
-    ``channel_synthesis="fifo"`` runs the channel classifier
-    (:mod:`repro.analysis.channels`) and lowers every dependency proven a
-    single-writer in-order stream to a plain FIFO channel; everything
-    else falls back to the guarded-BRAM machinery.  The default
-    ``"guarded"`` keeps the paper's organizations for every dependency.
+    ``options`` are the :class:`~repro.config.FlowConfig` fields (the
+    memory organization, dependency-list size, fabric shape, channel
+    synthesis, ...); their meanings and defaults are documented there.
+    An out-of-range option raises
+    :class:`~repro.core.errors.ParameterError` before any analysis runs.
     """
-    if num_banks > 0 and force_single_bram:
-        raise ValueError("force_single_bram is incompatible with a fabric")
-    if channel_synthesis not in ("guarded", "fifo"):
-        raise ValueError(
-            f"unknown channel_synthesis {channel_synthesis!r} "
-            "(expected 'guarded' or 'fifo')"
-        )
-    if channel_synthesis == "fifo" and num_banks > 0:
-        raise ValueError(
-            "channel_synthesis='fifo' is incompatible with a sharded "
-            "fabric (FIFO channels bypass the crossbar)"
-        )
-    checked = analyze(source, infer_pragmas=infer_pragmas)
-    if check_deadlock:
+    config = FlowConfig(**options)
+    checked = analyze(source, infer_pragmas=config.infer_pragmas)
+    if config.check_deadlock:
         assert_deadlock_free(checked)
 
     channel_decisions: dict[str, ChannelDecision] = {}
     fifo_channels: dict[tuple[str, str], str] = {}
-    if channel_synthesis == "fifo":
+    if config.channel_synthesis == "fifo":
         channel_decisions = classify_channels(checked)
         fifo_channels = fifo_lowered_variables(channel_decisions)
 
@@ -260,26 +221,16 @@ def compile_design(
     memory_map = allocate(
         checked,
         access=access_graph,
-        force_single_bram=force_single_bram,
-        allow_offchip=allow_offchip,
-        fabric_banks=num_banks,
-        fabric_policy=shard_policy,
+        force_single_bram=config.force_single_bram,
+        allow_offchip=config.allow_offchip,
+        fabric_banks=config.num_banks,
+        fabric_policy=config.shard_policy,
         fifo_channels=fifo_channels or None,
     )
 
     fabric_plan: Optional[FabricPlan] = None
-    if num_banks > 0:
-        fabric_plan = plan_fabric(
-            checked,
-            memory_map,
-            FabricConfig(
-                num_banks=num_banks,
-                shard_policy=shard_policy,
-                link_latency=link_latency,
-                batch_size=batch_size,
-                dep_home=dep_home,
-            ),
-        )
+    if config.num_banks > 0:
+        fabric_plan = plan_fabric(checked, memory_map, config)
         dep_groups = dict(fabric_plan.native_dep_groups)
         deplists = dict(fabric_plan.bank_deplists)
     else:
@@ -298,7 +249,7 @@ def compile_design(
         }
 
     fsms = synthesize_program(checked, memory_map)
-    if optimize:
+    if config.optimize:
         from .synth.optimize import optimize_fsm
 
         for fsm in fsms.values():
@@ -312,11 +263,11 @@ def compile_design(
     wrapper_modules: dict[str, Module] = {}
     multi_bram = len(dep_groups) > 1
     for bram, deps in dep_groups.items():
-        params = _wrapper_params(deps, deplist_entries)
+        params = _wrapper_params(deps, config.deplist_entries)
         suffix = f"_{bram}" if multi_bram else ""
-        if organization is Organization.ARBITRATED:
+        if config.organization is Organization.ARBITRATED:
             wrapper_modules[bram] = generate_arbitrated_wrapper(params, suffix)
-        elif organization is Organization.EVENT_DRIVEN:
+        elif config.organization is Organization.EVENT_DRIVEN:
             wrapper_modules[bram] = generate_event_driven_wrapper(
                 params, deps, suffix
             )
@@ -336,10 +287,10 @@ def compile_design(
     crossbar_module: Optional[Module] = None
     if fabric_plan is not None:
         crossbar_module = generate_crossbar(
-            num_banks=num_banks,
+            num_banks=config.num_banks,
             clients=max(1, len(fsms)),
-            link_latency=link_latency,
-            batch_size=batch_size,
+            link_latency=config.link_latency,
+            batch_size=config.batch_size,
         )
 
     thread_modules = {
@@ -356,7 +307,7 @@ def compile_design(
     return CompiledDesign(
         name=name,
         checked=checked,
-        organization=organization,
+        organization=config.organization,
         memory_map=memory_map,
         dep_groups=dep_groups,
         deplists=deplists,
@@ -367,7 +318,7 @@ def compile_design(
         top=top,
         fabric=fabric_plan,
         crossbar_module=crossbar_module,
-        channel_synthesis=channel_synthesis,
+        channel_synthesis=config.channel_synthesis,
         channel_decisions=channel_decisions,
         fifo_deps=fifo_deps,
     )
@@ -395,6 +346,16 @@ class Simulation:
     def inject(self, interface: str, message: dict[str, int]) -> None:
         """Queue a message on an ingress interface."""
         self.rx[interface].push(message)
+
+    def attach_traffic(self, rate: float, seed: int = 1) -> None:
+        """Drive every ingress interface with seeded Bernoulli traffic:
+        the ``index``-th interface draws from stream ``seed + index``."""
+        from .net import BernoulliTraffic  # lazy: keeps import light
+
+        check_probability("traffic_rate", rate)
+        for index, rx in enumerate(self.rx.values()):
+            generator = BernoulliTraffic(rate=rate, seed=seed + index)
+            self.kernel.add_pre_cycle_hook(generator.attach(rx))
 
     # -- robustness wiring (lazy imports: repro.faults imports this module) ----------
 

@@ -22,9 +22,8 @@ import argparse
 import sys
 from typing import Optional
 
+from ..cli import DEFAULTS, design_name, design_options, run_cli
 from ..core.advisor import Organization
-from ..core.errors import ControllerError
-from ..hic.errors import HicError
 from .parameters import extract_parameters
 from .pareto import DEFAULT_MARGIN, run_sweep
 from .predict import predict
@@ -32,14 +31,14 @@ from .validate import ERROR_BOUND, validate
 
 
 def _predict_parser() -> argparse.ArgumentParser:
-    from ..flow import DEFAULT_KERNEL, SIMULATION_KERNELS
-
     parser = argparse.ArgumentParser(
         prog="python -m repro predict",
         description=(
             "Closed-form performance prediction from compile-time "
-            "parameters (no simulation); see docs/performance_model.md."
+            "parameters (no simulation); see docs/performance_model.md.  "
+            "--kernel is the simulation backend of --validate."
         ),
+        parents=[design_options()],
     )
     parser.add_argument(
         "source",
@@ -50,12 +49,6 @@ def _predict_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--organization",
-        choices=[org.value for org in Organization],
-        default=Organization.ARBITRATED.value,
-        help="memory organization to predict (default: arbitrated)",
-    )
-    parser.add_argument(
         "--banks",
         type=int,
         default=1,
@@ -63,12 +56,16 @@ def _predict_parser() -> argparse.ArgumentParser:
         help="fabric bank count (>= 1; default: 1)",
     )
     parser.add_argument(
-        "--link-latency", type=int, default=1, metavar="CYCLES",
-        help="crossbar link latency (default: 1)",
+        "--link-latency", type=int, default=DEFAULTS.link_latency,
+        metavar="CYCLES",
+        help=f"crossbar link latency (default: {DEFAULTS.link_latency})",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=1, metavar="N",
-        help="requests a bank accepts per cycle (default: 1)",
+        "--batch-size", type=int, default=DEFAULTS.batch_size, metavar="N",
+        help=(
+            "requests a bank accepts per cycle "
+            f"(default: {DEFAULTS.batch_size})"
+        ),
     )
     parser.add_argument(
         "--offchip-latency", type=int, default=0, metavar="CYCLES",
@@ -82,7 +79,7 @@ def _predict_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--deplist-entries", type=int, default=4,
+        "--deplist-entries", type=int, default=DEFAULTS.deplist_entries,
         help="dependency-list capacity (area model input)",
     )
     parser.add_argument(
@@ -123,10 +120,6 @@ def _predict_parser() -> argparse.ArgumentParser:
         "--bound", type=float, default=ERROR_BOUND,
         help=f"validation error bound (default: {ERROR_BOUND})",
     )
-    parser.add_argument(
-        "--kernel", choices=list(SIMULATION_KERNELS), default=DEFAULT_KERNEL,
-        help=f"simulation backend for --validate (default: {DEFAULT_KERNEL})",
-    )
     return parser
 
 
@@ -138,26 +131,20 @@ def _write(path: Optional[str], payload: str, label: str) -> None:
 
 
 def predict_main(argv: Optional[list] = None) -> int:
-    args = _predict_parser().parse_args(argv)
-    try:
-        if args.validate:
-            return _run_validate(args)
-        if args.source is None:
-            print(
-                "error: a hic source file is required unless --validate "
-                "is given",
-                file=sys.stderr,
-            )
-            return 2
-        return _run_predict(args)
-    except ControllerError as error:
-        # Structured parameter/controller failure: name the field, keep
-        # the exit code distinct from compile errors.
-        print(f"error: {error.describe()}", file=sys.stderr)
+    return run_cli(_predict_parser(), argv, _predict)
+
+
+def _predict(args: argparse.Namespace) -> int:
+    if args.validate:
+        return _run_validate(args)
+    if args.source is None:
+        print(
+            "error: a hic source file is required unless --validate "
+            "is given",
+            file=sys.stderr,
+        )
         return 2
-    except HicError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    return _run_predict(args)
 
 
 def _compile(args):
@@ -173,7 +160,7 @@ def _compile(args):
         raise SystemExit(2)
     return compile_design(
         source,
-        name=args.source.rsplit("/", 1)[-1].split(".")[0],
+        name=design_name(args.source),
         organization=Organization(args.organization),
         deplist_entries=args.deplist_entries,
         num_banks=args.banks if args.banks > 0 else 0,

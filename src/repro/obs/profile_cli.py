@@ -21,32 +21,31 @@ import argparse
 import json
 import sys
 
-from ..core.advisor import Organization
-from ..core.errors import SimulationTimeout
-from ..hic.errors import HicError
+from ..cli import (
+    compile_source,
+    design_options,
+    run_cli,
+    source_options,
+)
+from ..flow import build_simulation
 
 #: Default simulation horizon (the Figure-1 golden runs use it too).
 DEFAULT_CYCLES = 300
 
 
 def _profile_parser() -> argparse.ArgumentParser:
-    from ..flow import DEFAULT_KERNEL, SIMULATION_KERNELS
-
     parser = argparse.ArgumentParser(
         prog="python -m repro profile",
         description=(
             "Attribute every simulated cycle of every thread to an "
             "exclusive wait state (executing, blocked-read, guard-stall, "
             "arbitration-loss, crossbar-transit, offchip-latency, idle) "
-            "and report where the cycles went (see docs/profiling.md)."
+            "and report where the cycles went (see docs/profiling.md).  "
+            "Every kernel produces byte-identical attribution (the "
+            "compiled kernel runs its interpreted path under the "
+            "profiler)."
         ),
-    )
-    parser.add_argument("source", help="hic source file")
-    parser.add_argument(
-        "--organization",
-        choices=[org.value for org in Organization],
-        default=Organization.ARBITRATED.value,
-        help="memory organization to profile (default: arbitrated)",
+        parents=[source_options(), design_options()],
     )
     parser.add_argument(
         "--cycles",
@@ -54,49 +53,6 @@ def _profile_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CYCLES,
         metavar="N",
         help=f"simulation horizon in cycles (default: {DEFAULT_CYCLES})",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=list(SIMULATION_KERNELS),
-        default=DEFAULT_KERNEL,
-        help=(
-            f"simulation backend (default: {DEFAULT_KERNEL}); every "
-            "kernel produces byte-identical attribution (the compiled "
-            "kernel runs its interpreted path under the profiler)"
-        ),
-    )
-    parser.add_argument(
-        "--banks",
-        type=int,
-        default=0,
-        metavar="N",
-        help="profile on a sharded N-bank fabric (0 = single address space)",
-    )
-    parser.add_argument(
-        "--dep-home",
-        choices=["address", "spread"],
-        default="address",
-        help="fabric dependency-entry homing (see python -m repro --help)",
-    )
-    parser.add_argument(
-        "--link-latency",
-        type=int,
-        default=1,
-        metavar="CYCLES",
-        help="fabric crossbar link latency (default: 1)",
-    )
-    parser.add_argument(
-        "--traffic-rate",
-        type=float,
-        default=0.0,
-        metavar="P",
-        help="seeded Bernoulli ingress traffic probability per cycle",
-    )
-    parser.add_argument(
-        "--traffic-seed",
-        type=int,
-        default=1,
-        help="seed for --traffic-rate generators (default: 1)",
     )
     parser.add_argument(
         "--top",
@@ -133,59 +89,25 @@ def _profile_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the attribution cells as CSV",
     )
-    parser.add_argument(
-        "--max-wall-seconds",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock livelock valve for the simulation",
-    )
     return parser
 
 
 def profile_main(argv: list[str] | None = None) -> int:
-    from ..flow import build_simulation, compile_design
+    return run_cli(_profile_parser(), argv, _profile)
+
+
+def _profile(args: argparse.Namespace) -> int:
     from .critical_path import extract_critical_path, render_critical_path
     from .exporters import write_profile_chrome_trace
     from .flame import write_flame
     from .profiler import breakdown_csv, breakdown_dict, render_breakdown
 
-    args = _profile_parser().parse_args(argv)
-    try:
-        with open(args.source) as handle:
-            source = handle.read()
-    except OSError as error:
-        print(f"error: cannot read {args.source}: {error}", file=sys.stderr)
-        return 2
-
-    try:
-        design = compile_design(
-            source,
-            name=args.source.rsplit("/", 1)[-1].split(".")[0],
-            organization=Organization(args.organization),
-            num_banks=args.banks,
-            link_latency=args.link_latency,
-            dep_home=args.dep_home,
-        )
-    except (HicError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
+    design = compile_source(args)
     sim = build_simulation(design, kernel=args.kernel)
     profiler = sim.attach_profiler()
     if args.traffic_rate > 0:
-        from ..net import BernoulliTraffic
-
-        for index, rx in enumerate(sim.rx.values()):
-            generator = BernoulliTraffic(
-                rate=args.traffic_rate, seed=args.traffic_seed + index
-            )
-            sim.kernel.add_pre_cycle_hook(generator.attach(rx))
-    try:
-        sim.run(args.cycles, max_wall_seconds=args.max_wall_seconds)
-    except SimulationTimeout as error:
-        print(f"error: {error.describe()}", file=sys.stderr)
-        return 1
+        sim.attach_traffic(args.traffic_rate, args.traffic_seed)
+    sim.run(args.cycles, max_wall_seconds=args.max_wall_seconds)
 
     sys.stdout.write(render_breakdown(profiler, top=args.top))
     breakdown = breakdown_dict(profiler)

@@ -7,6 +7,7 @@ process network with a known expected classification, runnable on every
 simulation kernel via ``python -m repro run --scenario <name>``.
 """
 
+from ..config import CHANNEL_SYNTHESIS_MODES
 from .catalog import (
     SCENARIO_NAMES,
     Scenario,
@@ -18,7 +19,7 @@ from .catalog import (
     pipeline_source,
     scenario_functions,
 )
-from .report import CHANNEL_SYNTHESIS_MODES, scenario_report, sync_area
+from .report import scenario_report, sync_area
 
 __all__ = [
     "CHANNEL_SYNTHESIS_MODES",

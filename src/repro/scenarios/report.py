@@ -22,9 +22,6 @@ from ..fpga.area import estimate_area
 from ..fpga.timing import estimate_timing
 from .catalog import build_scenario_simulation, get_scenario
 
-#: `--channel-synthesis` choice list (CLI + tests).
-CHANNEL_SYNTHESIS_MODES = ("guarded", "fifo")
-
 #: Versioned schema tag of the JSON report document.
 REPORT_SCHEMA = "repro.scenarios.report/1"
 

@@ -138,6 +138,55 @@ class TestCliTelemetry:
         assert "simulated 50 cycles" in capsys.readouterr().out
 
 
+class TestParameterErrors:
+    """Out-of-range CLI input dies up front with a structured
+    ``parameter-error`` naming the field and exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv, parameter",
+        [
+            (["--banks", "-1"], "num_banks"),
+            (["--deplist-entries", "-2"], "deplist_entries"),
+            (["--simulate", "-5"], "simulate"),
+            (["--simulate", "10", "--traffic-rate", "1.5"], "traffic_rate"),
+            (
+                ["--simulate", "10", "--banks", "2", "--link-latency", "-3"],
+                "link_latency",
+            ),
+            (
+                ["--simulate", "10", "--max-wall-seconds", "-1"],
+                "max_wall_seconds",
+            ),
+            (["profile", "--cycles", "-5"], "cycles"),
+            (["profile", "--cycles", "0"], "cycles"),
+            (["profile", "--traffic-rate", "2"], "traffic_rate"),
+            (["profile", "--banks", "-2"], "num_banks"),
+        ],
+        ids=[
+            "banks",
+            "deplist-entries",
+            "simulate",
+            "traffic-rate",
+            "link-latency",
+            "max-wall-seconds",
+            "profile-cycles",
+            "profile-zero-cycles",
+            "profile-traffic-rate",
+            "profile-banks",
+        ],
+    )
+    def test_bad_parameter_exits_2(self, figure1_file, argv, parameter, capsys):
+        if argv[0] == "profile":
+            argv = ["profile", figure1_file, *argv[1:]]
+        else:
+            argv = [figure1_file, *argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "parameter-error" in captured.err
+        assert f"parameter={parameter}" in captured.err
+        assert captured.out == ""  # rejected before any report is printed
+
+
 class TestCliPredict:
     """``python -m repro predict`` — the analytical model's surface."""
 
