@@ -16,16 +16,15 @@ must finish in at most ``1 / (0.6 * N)`` of the serial wall time (i.e.
 speedup >= 0.6*N), while producing a byte-identical merged report.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.campaign import EngineConfig, RunSpec, run_matrix
 from repro.campaign.tasks import busy_task, sleep_task
-from repro.obs.exporters import write_bench_json
+
+from _bench_json import record
 
 #: Runs in the chaos campaign; the crash is injected at this run index.
 RUNS = 8
@@ -41,8 +40,6 @@ SPEEDUP_FRACTION = 0.6
 #: Blocking-workload overlap probe: runs x seconds each, 2 workers.
 SLEEP_RUNS = 6
 SLEEP_SECONDS = 0.15
-
-BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
 
 def _chaos_specs() -> list:
@@ -132,29 +129,24 @@ def test_campaign_parallel_speedup(benchmark):
     sleep_parallel_s = time.perf_counter() - start
     overlap = sleep_serial_s / sleep_parallel_s
 
-    try:
-        payload = json.loads(BENCH_JSON_PATH.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    # Keep in lockstep with bench_sim_performance.BENCH_SCHEMA: /4 added
-    # the analytical-model predict section, /6 the scenarios section.
-    payload["schema"] = "repro.bench.sim/6"
-    payload["campaign"] = {
-        "workload": (
-            f"chaos campaign: {RUNS} cpu-bound runs "
-            f"({ITERATIONS} iterations each), worker crash injected at "
-            f"run {CHAOS_INDEX} and retried"
-        ),
-        "cpu_count": cpu_count,
-        "workers": engine_workers,
-        "runs": RUNS,
-        "serial_seconds": round(serial_s, 4),
-        "parallel_seconds": round(parallel_s, 4),
-        "speedup": round(speedup, 2),
-        "speedup_target": round(target, 2),
-        "sleep_overlap_speedup_2workers": round(overlap, 2),
-    }
-    write_bench_json(str(BENCH_JSON_PATH), payload)
+    record(
+        "campaign",
+        {
+            "workload": (
+                f"chaos campaign: {RUNS} cpu-bound runs "
+                f"({ITERATIONS} iterations each), worker crash injected at "
+                f"run {CHAOS_INDEX} and retried"
+            ),
+            "cpu_count": cpu_count,
+            "workers": engine_workers,
+            "runs": RUNS,
+            "serial_seconds": round(serial_s, 4),
+            "parallel_seconds": round(parallel_s, 4),
+            "speedup": round(speedup, 2),
+            "speedup_target": round(target, 2),
+            "sleep_overlap_speedup_2workers": round(overlap, 2),
+        },
+    )
 
 
 def main() -> None:

@@ -22,9 +22,7 @@ points); both legs use the same horizons, so the recorded speedup is
 apples-to-apples.
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -40,7 +38,8 @@ from repro.model import (
 )
 from repro.model.validate import simulate_config
 from repro.net import forwarding_source
-from repro.obs.exporters import write_bench_json
+
+from _bench_json import record
 
 #: Acceptance floor: analytical evaluations per second.
 EVALS_PER_SECOND_TARGET = 100_000
@@ -52,8 +51,6 @@ PRUNE_BUDGET = 0.25
 #: rank points; the validation grid's longer sparse horizon exists to
 #: converge *error bounds*, not ranks).
 RECALL_CYCLES = {0.02: 6_000, 0.9: 2_000}
-
-BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
 #: The Figure-1 model parameters the committed sweep is built from.
 FIGURE1 = ModelParameters(
@@ -211,23 +208,11 @@ def test_predict_prune_recall_and_speedup(benchmark):
 
 
 def _update_bench_json(**fields) -> None:
-    try:
-        payload = json.loads(BENCH_JSON_PATH.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    # Keep in lockstep with bench_sim_performance.BENCH_SCHEMA: /4 added
-    # this predict section, /6 the scenarios section.
-    payload["schema"] = "repro.bench.sim/6"
-    section = payload.setdefault("predict", {})
-    section.setdefault(
-        "workload",
-        (
-            "committed sweep: figure-1 family, 3 organizations x banks "
-            "{1,2,4} x link {1,2,3} x rates {0.02,0.9} (54 points)"
-        ),
+    workload = (
+        "committed sweep: figure-1 family, 3 organizations x banks "
+        "{1,2,4} x link {1,2,3} x rates {0.02,0.9} (54 points)"
     )
-    section.update(fields)
-    write_bench_json(str(BENCH_JSON_PATH), payload)
+    record("predict", {"workload": workload, **fields}, merge=True)
 
 
 def main() -> None:

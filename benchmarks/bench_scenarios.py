@@ -19,13 +19,10 @@ the test asserts the one catalogued relationship that motivated the
 lowering — FIFO synthesis must not reduce pipeline progress.
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
-from repro.obs.exporters import write_bench_json
 from repro.scenarios import (
     CHANNEL_SYNTHESIS_MODES,
     SCENARIO_NAMES,
@@ -33,9 +30,9 @@ from repro.scenarios import (
     get_scenario,
 )
 
-CYCLES = 500
+from _bench_json import record
 
-BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
+CYCLES = 500
 
 
 def _scenario_cell(scenario, mode):
@@ -95,12 +92,4 @@ def test_scenario_throughput_matrix():
     # And the classifier must actually have lowered something there.
     assert section["pipeline"]["fifo"]["fifo_channels"] > 0
 
-    try:
-        payload = json.loads(BENCH_JSON_PATH.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    # Keep in lockstep with bench_sim_performance.BENCH_SCHEMA: /6 added
-    # this ``scenarios`` section.
-    payload["schema"] = "repro.bench.sim/6"
-    payload["scenarios"] = section
-    write_bench_json(str(BENCH_JSON_PATH), payload)
+    record("scenarios", section)

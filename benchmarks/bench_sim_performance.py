@@ -21,10 +21,8 @@ on a >20% throughput regression (wheel or compiled) against the
 committed baseline.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -36,7 +34,9 @@ from repro.net import (
     forwarding_functions,
     forwarding_source,
 )
-from repro.obs.exporters import summary_dict, write_bench_json
+from repro.obs.exporters import summary_dict
+
+from _bench_json import read_bench_json, record
 
 CYCLES = 1000
 
@@ -63,23 +63,9 @@ DENSE_RATE = 0.9
 SPEEDUP_TARGET = 5.0
 BASELINE_TOLERANCE = 0.80
 
-BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim.json"
-
-#: Artifact schema: /3 added the ``profiler`` overhead section (see
-#: docs/profiling.md); /4 added the ``predict`` section written by
-#: ``bench_predict.py`` (see docs/performance_model.md); /5 added the
-#: compiled-kernel dense-workload numbers (``kernels.compiled_*``,
-#: including the codegen-vs-cached build-time split; see
-#: docs/simulation_kernels.md); /6 added the per-scenario ``scenarios``
-#: section written by ``bench_scenarios.py`` (see docs/scenarios.md).
-BENCH_SCHEMA = "repro.bench.sim/6"
-
 #: The committed baseline, captured at import time — the tests below
 #: rewrite ``BENCH_sim.json``, so read it before any of them run.
-try:
-    _COMMITTED_BASELINE = json.loads(BENCH_JSON_PATH.read_text())
-except (OSError, ValueError):  # first run: no baseline yet
-    _COMMITTED_BASELINE = {}
+_COMMITTED_BASELINE = read_bench_json()
 
 
 @pytest.fixture(scope="module")
@@ -187,22 +173,17 @@ def test_telemetry_overhead_budget(benchmark, forwarding_design):
         f"telemetry overhead {ratio:.3f}x exceeds {OVERHEAD_BUDGET}x budget"
     )
 
-    try:
-        payload = json.loads(BENCH_JSON_PATH.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    payload.update(
+    record(
+        None,
         {
-            "schema": BENCH_SCHEMA,
             "cycles": CYCLES,
             "cycles_per_second_disabled": round(CYCLES / disabled),
             "cycles_per_second_enabled": round(CYCLES / enabled),
             "telemetry_overhead_ratio": round(ratio, 4),
             "overhead_budget": OVERHEAD_BUDGET,
             "telemetry_summary": summary_dict(sim.telemetry),
-        }
+        },
     )
-    write_bench_json(str(BENCH_JSON_PATH), payload)
 
 
 @pytest.mark.benchmark(group="harness")
@@ -260,23 +241,20 @@ def test_profiler_overhead_budget(benchmark, forwarding_design):
     )
 
     state_totals = profiler.ledger.state_totals()
-    try:
-        payload = json.loads(BENCH_JSON_PATH.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    payload["schema"] = BENCH_SCHEMA
-    payload["profiler"] = {
-        "cycles": CYCLES,
-        "cycles_per_second_traced": round(CYCLES / traced),
-        "cycles_per_second_profiled": round(CYCLES / profiled_s),
-        "profiler_overhead_ratio": round(ratio, 4),
-        "overhead_budget": OVERHEAD_BUDGET,
-        "state_cycles": {
-            state: count for state, count in sorted(state_totals.items())
+    record(
+        "profiler",
+        {
+            "cycles": CYCLES,
+            "cycles_per_second_traced": round(CYCLES / traced),
+            "cycles_per_second_profiled": round(CYCLES / profiled_s),
+            "profiler_overhead_ratio": round(ratio, 4),
+            "overhead_budget": OVERHEAD_BUDGET,
+            "state_cycles": {
+                state: count for state, count in sorted(state_totals.items())
+            },
+            "conservation_ok": conservation["ok"],
         },
-        "conservation_ok": conservation["ok"],
-    }
-    write_bench_json(str(BENCH_JSON_PATH), payload)
+    )
 
 
 def _kernel_timed_run(design, functions, kernel, rate=FAST_RATE):
@@ -329,23 +307,20 @@ def test_wheel_kernel_speedup(benchmark):
     )
 
     wheel_cps = round(FAST_CYCLES / wheel_s)
-    try:
-        payload = json.loads(BENCH_JSON_PATH.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    payload["schema"] = BENCH_SCHEMA
-    payload["kernels"] = {
-        "workload": (
-            "figure-1 dependency pattern: forwarding_source(2), "
-            f"rate {FAST_RATE}, {FAST_CYCLES} cycles, telemetry off"
-        ),
-        "reference_cycles_per_second": round(FAST_CYCLES / reference_s),
-        "wheel_cycles_per_second": wheel_cps,
-        "wheel_speedup": round(speedup, 2),
-        "wheel_cycles_skipped": wheel_sim.kernel.cycles_skipped,
-        "speedup_target": SPEEDUP_TARGET,
-    }
-    write_bench_json(str(BENCH_JSON_PATH), payload)
+    record(
+        "kernels",
+        {
+            "workload": (
+                "figure-1 dependency pattern: forwarding_source(2), "
+                f"rate {FAST_RATE}, {FAST_CYCLES} cycles, telemetry off"
+            ),
+            "reference_cycles_per_second": round(FAST_CYCLES / reference_s),
+            "wheel_cycles_per_second": wheel_cps,
+            "wheel_speedup": round(speedup, 2),
+            "wheel_cycles_skipped": wheel_sim.kernel.cycles_skipped,
+            "speedup_target": SPEEDUP_TARGET,
+        },
+    )
 
     if os.environ.get("BENCH_ENFORCE_BASELINE") == "1":
         baseline = _COMMITTED_BASELINE.get("kernels", {}).get(
@@ -438,12 +413,8 @@ def test_compiled_kernel_speedup(benchmark):
     )
 
     compiled_cps = round(FAST_CYCLES / compiled_s)
-    try:
-        payload = json.loads(BENCH_JSON_PATH.read_text())
-    except (OSError, ValueError):
-        payload = {}
-    payload["schema"] = BENCH_SCHEMA
-    payload.setdefault("kernels", {}).update(
+    record(
+        "kernels",
         {
             "dense_workload": (
                 "figure-1 dependency pattern: forwarding_source(2), "
@@ -455,9 +426,9 @@ def test_compiled_kernel_speedup(benchmark):
             "compiled_codegen_seconds": round(codegen_s, 4),
             "compiled_cached_build_seconds": round(cached_build_s, 4),
             "compiled_speedup_target": SPEEDUP_TARGET,
-        }
+        },
+        merge=True,
     )
-    write_bench_json(str(BENCH_JSON_PATH), payload)
 
     if os.environ.get("BENCH_ENFORCE_BASELINE") == "1":
         baseline = _COMMITTED_BASELINE.get("kernels", {}).get(

@@ -191,21 +191,26 @@ def design_name(path: str) -> str:
     return path.rsplit("/", 1)[-1].split(".")[0]
 
 
-def compile_source(args: argparse.Namespace, **options) -> CompiledDesign:
-    """Compile ``args.source`` with the :func:`source_options` and
-    :func:`design_options` flow options; ``options`` adds the other
-    :class:`~repro.config.FlowConfig` fields a tool sets."""
+def read_source(path: str) -> str:
+    """The text of a hic source file; an unreadable file is a
+    ``source`` parameter error."""
     try:
-        with open(args.source) as handle:
-            source = handle.read()
+        with open(path) as handle:
+            return handle.read()
     except OSError as error:
         raise ParameterError(
             f"cannot read source file: {error.strerror}",
             parameter="source",
-            value=args.source,
+            value=path,
         ) from None
+
+
+def compile_source(args: argparse.Namespace, **options) -> CompiledDesign:
+    """Compile ``args.source`` with the :func:`source_options` and
+    :func:`design_options` flow options; ``options`` adds the other
+    :class:`~repro.config.FlowConfig` fields a tool sets."""
     return compile_design(
-        source,
+        read_source(args.source),
         name=design_name(args.source),
         organization=Organization(args.organization),
         num_banks=args.banks,

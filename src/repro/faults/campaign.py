@@ -75,8 +75,9 @@ from ..campaign import (
     RunResult,
     RunSpec,
 )
+from ..cli import read_source, run_cli
 from ..core.advisor import Organization
-from ..core.errors import ControllerError
+from ..core.errors import ControllerError, ParameterError
 from ..obs.attribution import WAIT_STATES
 from ..obs.profiler import merge_profiles
 from .injector import FaultInjector
@@ -151,6 +152,14 @@ class CampaignConfig:
     #: the result surface: profiles ride in each run's journaled value,
     #: so flipping this changes the campaign fingerprint)
     profile: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("runs", "cycles", "read_timeout", "deadlock_window"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ParameterError(
+                    f"{name} must be at least 1", parameter=name, value=value
+                )
 
 
 @dataclass(frozen=True)
@@ -868,29 +877,29 @@ def _faults_parser() -> argparse.ArgumentParser:
 def faults_main(argv: Optional[list] = None) -> int:
     """Entry point for ``python -m repro faults``.
 
-    Exit codes: 0 complete, 1 campaign error, 2 usage error, 3 stopped
-    at a ``--stop-after`` checkpoint (resume to finish), 130
-    interrupted by Ctrl-C (partial report still rendered).
+    Exit codes: 0 complete, 1 campaign error, 2 bad parameter (a
+    structured ``parameter-error``), 3 stopped at a ``--stop-after``
+    checkpoint (resume to finish), 130 interrupted by Ctrl-C (partial
+    report still rendered).
     """
-    args = _faults_parser().parse_args(argv)
+    return run_cli(_faults_parser(), argv, _run_faults)
+
+
+def _run_faults(args: argparse.Namespace) -> int:
     kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
     unknown = set(kinds) - set(FAULT_KINDS)
     if unknown:
-        print(f"error: unknown fault kinds {sorted(unknown)}", file=sys.stderr)
-        return 2
+        raise ParameterError(
+            f"unknown fault kinds {sorted(unknown)}",
+            parameter="kinds",
+            value=args.kinds,
+        )
     organizations = (
         ("arbitrated", "event_driven")
         if args.organization == "both"
         else (args.organization,)
     )
-    source = CAMPAIGN_SOURCE
-    if args.source:
-        try:
-            with open(args.source) as handle:
-                source = handle.read()
-        except OSError as error:
-            print(f"error: cannot read {args.source}: {error}", file=sys.stderr)
-            return 2
+    source = read_source(args.source) if args.source else CAMPAIGN_SOURCE
     read_timeout = args.read_timeout
     if args.auto_timeout:
         read_timeout = model_read_timeout(source, organizations)
@@ -938,9 +947,6 @@ def faults_main(argv: Optional[list] = None) -> int:
         # interrupted campaign.
         print("interrupted before any campaign results", file=sys.stderr)
         return 130
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
     text = report.render()
     print(text)
     if report.engine is not None:

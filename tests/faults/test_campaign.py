@@ -8,6 +8,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.campaign import EngineConfig
+from repro.core.errors import ParameterError
 from repro.faults import CampaignConfig, Classification, run_campaign
 from repro.faults.campaign import (
     CAMPAIGN_SOURCE,
@@ -205,6 +206,18 @@ class TestDefaultsSingleSource:
     def test_default_config_equals_dataclass(self):
         assert CONFIG_DEFAULTS == CampaignConfig()
         assert ENGINE_DEFAULTS == EngineConfig()
+
+    @pytest.mark.parametrize(
+        "parameter, value",
+        [("runs", -1), ("cycles", 0), ("read_timeout", -3),
+         ("deadlock_window", 0)],
+    )
+    def test_config_rejects_out_of_range(self, parameter, value):
+        # Rejected at construction, so run_campaign never sees it.
+        with pytest.raises(ParameterError) as excinfo:
+            CampaignConfig(**{parameter: value})
+        assert excinfo.value.parameter == parameter
+        assert excinfo.value.value == value
 
 
 class TestDivergence:

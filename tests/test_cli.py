@@ -161,6 +161,12 @@ class TestParameterErrors:
             (["profile", "--cycles", "0"], "cycles"),
             (["profile", "--traffic-rate", "2"], "traffic_rate"),
             (["profile", "--banks", "-2"], "num_banks"),
+            (["faults", "--cycles", "-5", "--runs", "1"], "cycles"),
+            (["faults", "--runs", "-1"], "runs"),
+            (["faults", "--read-timeout", "-3"], "read_timeout"),
+            (["faults", "--deadlock-window", "0"], "deadlock_window"),
+            (["faults", "--kinds", "bogus"], "kinds"),
+            (["faults", "--source", "/nonexistent/x.hic"], "source"),
         ],
         ids=[
             "banks",
@@ -173,12 +179,18 @@ class TestParameterErrors:
             "profile-zero-cycles",
             "profile-traffic-rate",
             "profile-banks",
+            "faults-cycles",
+            "faults-runs",
+            "faults-read-timeout",
+            "faults-deadlock-window",
+            "faults-kinds",
+            "faults-source",
         ],
     )
     def test_bad_parameter_exits_2(self, figure1_file, argv, parameter, capsys):
         if argv[0] == "profile":
             argv = ["profile", figure1_file, *argv[1:]]
-        else:
+        elif argv[0] != "faults":  # faults runs its built-in design
             argv = [figure1_file, *argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
